@@ -72,14 +72,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(125))]
 
     /// Under every toggle the incumbent objective equals the brute-force
-    /// optimum and the decoded schedule conserves requests.
+    /// optimum and the decoded schedule conserves requests. The root bound
+    /// — the presolved root LP, which certifies warm starts — never
+    /// exceeds the optimum.
     #[test]
     fn solver_matches_oracle_under_all_toggles(inst in arb_tiny_instance()) {
         let oracle = oracle_report(&inst);
         let total = inst.demand.total();
         let tol = 1e-6 * (1.0 + oracle.objective.abs());
+        let problem = inst.problem();
+        let root = problem.root_bound().expect("tiny root LP not solved");
+        prop_assert!(
+            root <= oracle.objective + 1e-6,
+            "root bound {} above the oracle optimum {}", root, oracle.objective,
+        );
         for (name, cfg) in toggle_configs() {
-            let (schedule, stats) = inst.problem().solve(&cfg).expect("tiny solve failed");
+            let (schedule, stats) = problem.solve(&cfg).expect("tiny solve failed");
             prop_assert!(
                 (stats.objective - oracle.objective).abs() <= tol,
                 "[{name}] solver objective {} != oracle {} (leaves={}, best batches {:?})",

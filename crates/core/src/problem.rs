@@ -26,7 +26,8 @@ use birp_models::catalog::MAX_BATCH;
 use birp_models::{Catalog, EdgeId, ModelId};
 use birp_sim::{Deployment, Schedule};
 use birp_solver::{
-    LinExpr, Model, ModelStatus, RowId, Solution, SolverConfig, SolverError, VarId, VarKind,
+    LinExpr, Model, ModelStatus, RootRelaxation, RowId, Solution, SolverConfig, SolverError, VarId,
+    VarKind,
 };
 use birp_telemetry as telemetry;
 use birp_tir::{linear_coeffs, TirParams};
@@ -465,8 +466,13 @@ pub struct SlotProblem {
     /// computed at build time; branch and bound starts from its objective
     /// as the incumbent cutoff.
     warm: Vec<f64>,
-    /// Objective of the root LP relaxation, captured from the warm-start
-    /// guide solve (the dual bound any integer point is certified against).
+    /// The presolved root relaxation [`derive`](Self::derive) solved for
+    /// the warm-start guide, kept so the slot's branch and bound starts at
+    /// the search instead of solving the root again. Dropped by
+    /// [`release_root`](Self::release_root) once the decide is done.
+    root: Option<RootRelaxation>,
+    /// Objective of that root LP (the dual bound any integer point is
+    /// certified against); outlives [`release_root`](Self::release_root).
     root_obj: Option<f64>,
     /// Outcome of the temporal-reuse repair pass, when one ran.
     reuse_outcome: Option<ReuseOutcome>,
@@ -1150,6 +1156,7 @@ impl SlotProblem {
             exp,
             imp,
             warm: Vec::new(),
+            root: None,
             root_obj: None,
             reuse_outcome: None,
             obj_coeffs: Vec::new(),
@@ -1162,13 +1169,20 @@ impl SlotProblem {
         }
     }
 
-    /// Recompute the derived state — guide-LP root bound, packed warm
-    /// start, objective coefficients, temporal-reuse repair outcome — on
-    /// the current model. Reads only the lowered model, the stored input
+    /// Recompute the derived state — root relaxation and its bound, packed
+    /// warm start, objective coefficients, temporal-reuse repair outcome —
+    /// on the current model. Reads only the lowered model, the stored input
     /// fingerprint, the catalog statics and its own arguments, so a
-    /// refreshed model derives exactly what a fresh build would (the LP
-    /// guide stays a cold solve on purpose: warm-starting it could land on
-    /// a different optimal vertex and break bitwise reproducibility).
+    /// refreshed model derives exactly what a fresh build would.
+    ///
+    /// With `guide_lp`, the model is lowered, presolved and its root LP
+    /// cold-solved once, under the default presolve and simplex options
+    /// (those of [`SolverConfig::scheduling`]). That one root serves as the
+    /// warm-start guide (its vertex), as the dual bound behind
+    /// [`root_bound`](Self::root_bound), and as the starting point of
+    /// [`solve`](Self::solve)'s branch and bound. It stays a cold solve on
+    /// purpose: warm-starting it from the previous slot could land on a
+    /// different optimal vertex and break refresh ≡ rebuild bitwise.
     fn derive(&mut self, catalog: &Catalog, reuse: Option<&Schedule>, guide_lp: bool) {
         // --- warm start: LP-guided greedy packing with redistribution ---
         // The LP relaxation knows the right *structure* (which models carry
@@ -1176,18 +1190,20 @@ impl SlotProblem {
         // machinery adds the integrality and budget discipline the LP
         // lacks. Feasible by construction — the incumbent cutoff branch
         // and bound starts from.
-        let lp_root = if guide_lp {
+        let root = if guide_lp {
             let _guide_span = telemetry::span("problem.guide_lp");
-            self.model
-                .solve_relaxation()
-                .ok()
-                .filter(|s| s.status == birp_solver::LpStatus::Optimal)
+            self.model.prepare_root(&SolverConfig::default()).ok()
         } else {
             None
         };
-        self.root_obj = lp_root.as_ref().map(|s| s.objective);
-        let lp_guide: Option<Vec<f64>> = lp_root.map(|s| s.x);
-        let mut warm = self.packed_point(catalog, lp_guide.as_ref());
+        self.root_obj = root.as_ref().and_then(RootRelaxation::bound);
+        let lp_guide = root
+            .as_ref()
+            .and_then(RootRelaxation::solution)
+            .filter(|s| s.status == birp_solver::LpStatus::Optimal)
+            .map(|s| &s.x);
+        let mut warm = self.packed_point(catalog, lp_guide);
+        self.root = root;
 
         // Point objective without re-lowering: `Σ loss·b + penalty·o` (the
         // only variables with objective coefficients).
@@ -1499,8 +1515,9 @@ impl SlotProblem {
         self.reuse_outcome
     }
 
-    /// Objective of the root LP relaxation — a lower bound on every
-    /// feasible integer point. `None` when the guide LP failed.
+    /// Objective of the presolved root LP relaxation — a lower bound on
+    /// every feasible integer point. `None` on a lean build or when the
+    /// root LP failed.
     pub fn root_bound(&self) -> Option<f64> {
         self.root_obj
     }
@@ -1568,7 +1585,17 @@ impl SlotProblem {
     /// sums need not balance edge-to-edge, so [`decode`](Self::decode)
     /// does not apply).
     pub fn solve_raw(&self, solver_cfg: &SolverConfig) -> Result<Solution, SolverError> {
-        self.model.solve_warm(solver_cfg, Some(self.warm.clone()))
+        self.model
+            .solve_from_root(self.root.as_ref(), solver_cfg, Some(self.warm.clone()))
+    }
+
+    /// Drop the root relaxation kept for this slot's branch and bound (the
+    /// root bound stays). Callers release it before the decide that built
+    /// it returns, so a persistent model does not carry a presolved copy
+    /// of itself and a simplex snapshot into the next slot. A later
+    /// [`solve`](Self::solve) without a refresh prepares a fresh root.
+    pub fn release_root(&mut self) {
+        self.root = None;
     }
 
     /// Direct (un-repaired) encoding of a schedule into this problem's
@@ -1725,9 +1752,12 @@ impl SlotProblem {
 
     /// Solve and decode into a schedule. The loss-greedy warm start built
     /// alongside the model guarantees branch and bound always holds a
-    /// usable incumbent, even under the tightest node budgets.
+    /// usable incumbent, even under the tightest node budgets. The search
+    /// starts from the root relaxation the build already solved when
+    /// `solver_cfg` has the presolve and simplex options it was solved
+    /// under; otherwise it prepares its own.
     pub fn solve(&self, solver_cfg: &SolverConfig) -> Result<(Schedule, SolveStats), SolverError> {
-        let sol = self.model.solve_warm(solver_cfg, Some(self.warm.clone()))?;
+        let sol = self.solve_raw(solver_cfg)?;
         let stats = SolveStats {
             objective: sol.objective,
             gap: sol.gap,
@@ -2120,6 +2150,68 @@ mod tests {
             "reuse outcome diverged"
         );
         assert_eq!(a.inputs(), b.inputs(), "fingerprint diverged");
+    }
+
+    /// Bit patterns of everything a solve returns, in one flat list.
+    fn solution_bits(s: &Solution) -> Vec<u64> {
+        let mut bits: Vec<u64> = s.values.iter().map(|v| v.to_bits()).collect();
+        bits.extend([s.objective, s.bound, s.gap].map(f64::to_bits));
+        bits.extend([s.nodes as u64, u64::from(s.degraded)]);
+        for &(n, o, g) in &s.incumbents {
+            bits.extend([n, o.to_bits(), g.to_bits()]);
+        }
+        bits
+    }
+
+    #[test]
+    fn solve_from_kept_root_matches_fresh_root_bitwise() {
+        // The root the build solved seeds the search; releasing it makes
+        // the solve prepare its own. Both must return the same bits, under
+        // the default options (the kept root is used) and under options the
+        // root was not solved under (both prepare afresh) — even when this
+        // thread's engine solved another slot in between, or another
+        // thread runs the search.
+        let cells = |catalog: &Catalog, salt: usize| -> Vec<(usize, usize, u32)> {
+            (0..catalog.num_apps())
+                .flat_map(|i| {
+                    (0..catalog.num_edges())
+                        .map(move |e| (i, e, ((3 * i + 5 * e + salt) % 7) as u32))
+                })
+                .collect()
+        };
+        for catalog in [Catalog::small_scale(42), Catalog::large_scale(42)] {
+            let tir = TirMatrix::oracle(&catalog);
+            let cfg = ProblemConfig::default();
+            let d = demand_of(&catalog, &cells(&catalog, 0));
+            let kept = SlotProblem::build(&catalog, 0, &d, &tir, None, &cfg);
+            let other = demand_of(&catalog, &cells(&catalog, 3));
+            let _ = SlotProblem::build(&catalog, 0, &other, &tir, None, &cfg);
+            let scheduling = SolverConfig::scheduling();
+            for solver_cfg in [
+                scheduling.clone(),
+                SolverConfig {
+                    warm_nodes: false,
+                    ..scheduling.clone()
+                },
+                SolverConfig {
+                    presolve: false,
+                    ..scheduling
+                },
+            ] {
+                let a = kept.solve_raw(&solver_cfg).unwrap();
+                let moved = std::thread::scope(|s| {
+                    s.spawn(|| kept.solve_raw(&solver_cfg).unwrap())
+                        .join()
+                        .unwrap()
+                });
+                let mut released = SlotProblem::build(&catalog, 0, &d, &tir, None, &cfg);
+                released.release_root();
+                let b = released.solve_raw(&solver_cfg).unwrap();
+                assert_eq!(kept.root_bound(), released.root_bound());
+                assert_eq!(solution_bits(&a), solution_bits(&b));
+                assert_eq!(solution_bits(&moved), solution_bits(&b));
+            }
+        }
     }
 
     #[test]

@@ -606,8 +606,31 @@ impl Birp {
             && self.heuristic_regime
             && self.skip_streak < self.reuse.max_skip_streak;
         let candidate = if self.reuse.enabled { prev } else { None };
-        let (problem, delta) = self.acquire_problem(t, demand, &tir, prev, &cfg, candidate, !skip);
+        let (mut problem, delta) =
+            self.acquire_problem(t, demand, &tir, prev, &cfg, candidate, !skip);
         emit_delta(t, &delta);
+        let schedule = self.decide_on(t, demand, prev, &tir, &problem, skip, lp0);
+        // Whatever path served the slot, the root relaxation the build
+        // solved is spent: drop it before the decide returns instead of
+        // carrying it into the next slot's refresh.
+        problem.release_root();
+        self.slot_model = Some(problem);
+        schedule
+    }
+
+    /// Serve slot `t` from its lowered problem: the skip, repair,
+    /// cache-hit, full-solve or fallback path.
+    #[allow(clippy::too_many_arguments)]
+    fn decide_on(
+        &mut self,
+        t: usize,
+        demand: &DemandMatrix,
+        prev: Option<&Schedule>,
+        tir: &TirMatrix,
+        problem: &SlotProblem,
+        skip: bool,
+        lp0: (u64, u64),
+    ) -> Schedule {
         if skip {
             match problem.reuse_outcome() {
                 Some(ReuseOutcome::Installed) => telemetry::counter("scheduler.reuse_install", 1),
@@ -632,7 +655,6 @@ impl Birp {
             }
             emit_provenance(t, "skip", Some(&stats), self.mask.as_deref(), lp0);
             self.last_stats = Some(stats);
-            self.slot_model = Some(problem);
             return schedule;
         }
 
@@ -671,7 +693,6 @@ impl Birp {
                 }
                 emit_provenance(t, "repair", Some(&stats), self.mask.as_deref(), lp0);
                 self.last_stats = Some(stats);
-                self.slot_model = Some(problem);
                 return schedule;
             }
         }
@@ -685,7 +706,7 @@ impl Birp {
             SlotKey::new(
                 demand,
                 self.mask.as_deref(),
-                &tir,
+                tir,
                 prev,
                 self.catalog.num_models(),
             )
@@ -718,7 +739,6 @@ impl Birp {
                         self.last_stats = Some(stats);
                         let mut schedule = entry.schedule.clone();
                         schedule.t = t;
-                        self.slot_model = Some(problem);
                         return schedule;
                     }
                     None => telemetry::counter("scheduler.reuse_cache_reject", 1),
@@ -770,7 +790,6 @@ impl Birp {
                     }
                 }
                 self.last_stats = Some(stats);
-                self.slot_model = Some(problem);
                 schedule
             }
             Err(err) => {
@@ -793,7 +812,6 @@ impl Birp {
                 }
                 emit_provenance(t, "fallback", None, self.mask.as_deref(), lp0);
                 self.last_stats = None;
-                self.slot_model = Some(problem);
                 greedy_local(
                     &self.catalog,
                     &TirParams::paper_initial(),

@@ -20,6 +20,18 @@ pub enum RowCmp {
     Ge,
 }
 
+impl RowCmp {
+    /// Signed violation of `lhs {cmp} rhs` (positive means violated).
+    #[inline]
+    pub fn violation(self, lhs: f64, rhs: f64) -> f64 {
+        match self {
+            RowCmp::Le => lhs - rhs,
+            RowCmp::Ge => rhs - lhs,
+            RowCmp::Eq => (lhs - rhs).abs(),
+        }
+    }
+}
+
 /// One sparse constraint row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LpRow {
@@ -37,12 +49,7 @@ impl LpRow {
 
     /// Signed violation of this row at `x` (positive means violated).
     pub fn violation(&self, x: &[f64]) -> f64 {
-        let lhs = self.lhs(x);
-        match self.cmp {
-            RowCmp::Le => lhs - self.rhs,
-            RowCmp::Ge => self.rhs - lhs,
-            RowCmp::Eq => (lhs - self.rhs).abs(),
-        }
+        self.cmp.violation(self.lhs(x), self.rhs)
     }
 }
 

@@ -5,6 +5,12 @@
 //! sources: integral LP relaxations, the LP-guided diving heuristic
 //! ([`crate::heuristic::dive`]) run at the root, and leaves of the search.
 //!
+//! A solve is two steps: [`RootRelaxation::prepare`] presolves the problem
+//! and solves the root LP once, and [`search`] runs the tree from it.
+//! [`branch_and_bound`] composes the two; a caller that also needs the root
+//! LP (the BIRP slot build uses its vertex as the warm-start guide) prepares
+//! it itself and hands it over, so the root is never solved twice.
+//!
 //! With `parallel = true` the search proceeds in *waves*: up to one node per
 //! worker is popped from the frontier, their LPs are solved with rayon, and
 //! the results are folded back in deterministically (the fold order is the
@@ -29,7 +35,7 @@ use birp_telemetry as telemetry;
 use rayon::prelude::*;
 
 use crate::heuristic::dive;
-use crate::lp::{LpProblem, LpStatus};
+use crate::lp::{LpProblem, LpSolution, LpStatus};
 use crate::simplex::{with_engine, EngineSnapshot, SimplexOptions};
 use crate::INT_TOL;
 
@@ -306,8 +312,149 @@ fn note_incumbent(
     }
 }
 
-/// Solve the MILP by branch and bound.
+/// The root relaxation of a MILP, prepared once: the problem presolved in
+/// place, its root LP cold-solved on this thread's engine, and the solved
+/// engine state snapshotted for the children's warm starts. A caller that
+/// needs the root LP for its own purposes (a warm-start guide, a dual bound
+/// to certify incumbents against) prepares it, reads it, and hands it to
+/// [`search`], which starts at the tree and never presolves or solves the
+/// root again. [`branch_and_bound`] is exactly that composition.
+///
+/// The root records the presolve switch and simplex options it was solved
+/// under ([`solved_under`](Self::solved_under)); a search under other
+/// options must prepare its own. Nothing in it refers to the engine that
+/// solved it, so the search may run on any thread, after any number of
+/// unrelated solves.
+#[derive(Debug)]
+pub struct RootRelaxation {
+    /// The problem the search runs on: presolved when `presolve` is set.
+    /// Presolve never removes columns, so indices and points line up with
+    /// the caller's problem.
+    problem: MilpProblem,
+    presolve: bool,
+    simplex: SimplexOptions,
+    /// The root LP; `None` when presolve alone proved infeasibility.
+    solution: Option<LpSolution>,
+    /// Solved engine state at the root (when the LP reached an optimum).
+    snap: Option<Arc<EngineSnapshot>>,
+    /// Wall time spent preparing; a search deadline is charged for it.
+    elapsed: std::time::Duration,
+}
+
+impl RootRelaxation {
+    /// Presolve `problem` in place (when `presolve` is set) and cold-solve
+    /// its root relaxation. Opens the `solver.presolve_ms` and
+    /// `solver.root_lp` spans under the caller's current span.
+    pub fn prepare(mut problem: MilpProblem, presolve: bool, simplex: &SimplexOptions) -> Self {
+        let started = std::time::Instant::now();
+        let feasible = !presolve || presolve_in_place(&mut problem);
+        let (solution, snap) = if feasible {
+            let (sol, snap) = {
+                let _root_span = telemetry::span("solver.root_lp");
+                let lp = &problem.lp;
+                solve_node_lp(lp, &lp.lower, &lp.upper, None, simplex, true)
+            };
+            telemetry::counter("solver.pivots", sol.iterations as u64);
+            (Some(sol), snap)
+        } else {
+            (None, None)
+        };
+        RootRelaxation {
+            problem,
+            presolve,
+            simplex: *simplex,
+            solution,
+            snap,
+            elapsed: started.elapsed(),
+        }
+    }
+
+    /// True when this root was prepared under exactly these options, so a
+    /// search configured with them may start from it.
+    pub fn solved_under(&self, presolve: bool, simplex: &SimplexOptions) -> bool {
+        self.presolve == presolve && self.simplex == *simplex
+    }
+
+    /// The root LP solution; `None` when presolve proved infeasibility.
+    pub fn solution(&self) -> Option<&LpSolution> {
+        self.solution.as_ref()
+    }
+
+    /// The root LP optimum when it has one: a lower bound on every feasible
+    /// integer point. Presolve rounds integer bounds inward, so it is at
+    /// least as tight as the unpresolved relaxation's.
+    pub fn bound(&self) -> Option<f64> {
+        self.solution
+            .as_ref()
+            .filter(|s| s.status == LpStatus::Optimal)
+            .map(|s| s.objective)
+    }
+}
+
+/// Presolve `problem` in place under the `solver.presolve_ms` span; false
+/// when presolve proved the problem infeasible.
+fn presolve_in_place(problem: &mut MilpProblem) -> bool {
+    let _presolve_span = telemetry::span("solver.presolve_ms");
+    let (status, red) = crate::presolve::presolve(&mut problem.lp, &problem.integers);
+    if telemetry::enabled() {
+        telemetry::counter("solver.presolve_rows_removed", red.rows_removed as u64);
+        telemetry::counter("solver.presolve_vars_fixed", red.vars_fixed as u64);
+        telemetry::event(
+            telemetry::Level::Debug,
+            "solver.presolve",
+            &[
+                ("rows_removed", (red.rows_removed as u64).into()),
+                ("bounds_tightened", (red.bounds_tightened as u64).into()),
+                ("vars_fixed", (red.vars_fixed as u64).into()),
+                ("rounds", (red.rounds as u64).into()),
+                ("nnz_removed", (red.nnz_removed as u64).into()),
+                ("nnz_after", (problem.lp.nnz() as u64).into()),
+            ],
+        );
+    }
+    status != crate::presolve::PresolveStatus::Infeasible
+}
+
+/// Solve the MILP by branch and bound: [`RootRelaxation::prepare`] on a
+/// copy of `original`, then [`search`].
 pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
+    let root = RootRelaxation::prepare(original.clone(), cfg.presolve, &cfg.simplex);
+    search(&root, cfg)
+}
+
+fn infeasible_result(nodes: usize, incumbents: Vec<(u64, f64, f64)>) -> MilpResult {
+    MilpResult {
+        status: MilpStatus::Infeasible,
+        objective: f64::INFINITY,
+        x: Vec::new(),
+        bound: f64::INFINITY,
+        gap: 0.0,
+        nodes,
+        degraded: false,
+        incumbents,
+    }
+}
+
+fn unbounded_result(nodes: usize, incumbents: Vec<(u64, f64, f64)>) -> MilpResult {
+    MilpResult {
+        status: MilpStatus::Unbounded,
+        objective: f64::NEG_INFINITY,
+        x: Vec::new(),
+        bound: f64::NEG_INFINITY,
+        gap: 0.0,
+        nodes,
+        degraded: false,
+        incumbents,
+    }
+}
+
+/// Branch and bound from a prepared root: install the warm start, run the
+/// root dive, then the best-first search. The root LP counts as the first
+/// node and its pivots against the budget, exactly as if it had been solved
+/// here. `cfg.presolve` and `cfg.simplex` must be the options the root was
+/// prepared under (see [`RootRelaxation::solved_under`]); `cfg.warm_nodes`
+/// decides whether the root snapshot seeds the children.
+pub fn search(root: &RootRelaxation, cfg: &BnbConfig) -> MilpResult {
     let _solve_span = telemetry::span("solver.solve");
     telemetry::counter("solver.solves", 1);
     // Effective budgets: the node limit folds into the classic knob, pivots
@@ -316,52 +463,17 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
     let node_limit = cfg
         .node_limit
         .min(cfg.budget.max_nodes.unwrap_or(usize::MAX));
-    let budget_clock = cfg
-        .budget
-        .deadline_ms
-        .is_some()
-        .then(std::time::Instant::now);
-    let mut pivots_total = 0u64;
+    let budget_clock = cfg.budget.deadline_ms.is_some().then(|| {
+        let now = std::time::Instant::now();
+        now.checked_sub(root.elapsed).unwrap_or(now)
+    });
     let mut budget_hit = false;
-    // Presolve never removes columns, so indices and solutions line up with
-    // the caller's problem; it only tightens bounds and drops rows, which
-    // shrinks every node LP.
-    let mut reduced = original.clone();
-    if cfg.presolve {
-        let _presolve_span = telemetry::span("solver.presolve_ms");
-        let (status, red) = crate::presolve::presolve(&mut reduced.lp, &reduced.integers);
-        if telemetry::enabled() {
-            telemetry::counter("solver.presolve_rows_removed", red.rows_removed as u64);
-            telemetry::counter("solver.presolve_vars_fixed", red.vars_fixed as u64);
-            telemetry::event(
-                telemetry::Level::Debug,
-                "solver.presolve",
-                &[
-                    ("rows_removed", (red.rows_removed as u64).into()),
-                    ("bounds_tightened", (red.bounds_tightened as u64).into()),
-                    ("vars_fixed", (red.vars_fixed as u64).into()),
-                    ("rounds", (red.rounds as u64).into()),
-                    ("nnz_removed", (red.nnz_removed as u64).into()),
-                    ("nnz_after", (reduced.lp.nnz() as u64).into()),
-                ],
-            );
-        }
-        if status == crate::presolve::PresolveStatus::Infeasible {
-            return MilpResult {
-                status: MilpStatus::Infeasible,
-                objective: f64::INFINITY,
-                x: Vec::new(),
-                bound: f64::INFINITY,
-                gap: 0.0,
-                nodes: 0,
-                degraded: false,
-                incumbents: Vec::new(),
-            };
-        }
-    }
-    let problem = &reduced;
+    let Some(root_sol) = root.solution.as_ref() else {
+        return infeasible_result(0, Vec::new());
+    };
+    let problem = &root.problem;
     let n = problem.lp.num_cols();
-    let root = Node {
+    let root_node = Node {
         lower: problem.lp.lower.clone(),
         upper: problem.lp.upper.clone(),
         bound: f64::NEG_INFINITY,
@@ -371,7 +483,6 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
     // computed once from the (presolved) problem shape.
     let est_snap_bytes = EngineSnapshot::estimate_bytes(&problem.lp, &cfg.simplex).max(1);
 
-    let mut nodes_solved = 0usize;
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
     let mut traj: Vec<(u64, f64, f64)> = Vec::new();
     let mut heap: BinaryHeap<Node> = BinaryHeap::new();
@@ -424,43 +535,26 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
     }
 
     // --- root -----------------------------------------------------------
-    let (root_sol, root_snap) = {
-        let _root_span = telemetry::span("solver.root_lp");
-        solve_node_lp(&problem.lp, &root, &cfg.simplex, cfg.warm_nodes)
-    };
-    nodes_solved += 1;
-    pivots_total += root_sol.iterations as u64;
-    telemetry::counter("solver.pivots", root_sol.iterations as u64);
+    let mut nodes_solved = 1usize;
+    let mut pivots_total = root_sol.iterations as u64;
     match root_sol.status {
-        LpStatus::Infeasible => {
-            return MilpResult {
-                status: MilpStatus::Infeasible,
-                objective: f64::INFINITY,
-                x: Vec::new(),
-                bound: f64::INFINITY,
-                gap: 0.0,
-                nodes: nodes_solved,
-                degraded: false,
-                incumbents: traj,
-            };
-        }
-        LpStatus::Unbounded => {
-            return MilpResult {
-                status: MilpStatus::Unbounded,
-                objective: f64::NEG_INFINITY,
-                x: Vec::new(),
-                bound: f64::NEG_INFINITY,
-                gap: 0.0,
-                nodes: nodes_solved,
-                degraded: false,
-                incumbents: traj,
-            };
-        }
+        LpStatus::Infeasible => return infeasible_result(nodes_solved, traj),
+        LpStatus::Unbounded => return unbounded_result(nodes_solved, traj),
         LpStatus::Optimal => {}
     }
     let root_bound = root_sol.objective;
+    let root_snap = if cfg.warm_nodes {
+        root.snap.clone()
+    } else {
+        None
+    };
 
-    let (root_branch, _) = branch_var(&root_sol.x, &problem.integers, &root.lower, &root.upper);
+    let (root_branch, _) = branch_var(
+        &root_sol.x,
+        &problem.integers,
+        &root_node.lower,
+        &root_node.upper,
+    );
     if let Some((j, v)) = root_branch {
         if nodes_solved >= node_limit || cfg.budget.exhausted(pivots_total, budget_clock) {
             // Budget spent on the root alone: skip the dive (it is dozens
@@ -473,8 +567,8 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
             if let Some((obj, x)) = dive(
                 &problem.lp,
                 &problem.integers,
-                &root.lower,
-                &root.upper,
+                &root_node.lower,
+                &root_node.upper,
                 root_snap.as_deref(),
                 &cfg.simplex,
             ) {
@@ -485,9 +579,9 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
                 }
             }
         }
-        push_children(&mut heap, &root, j, v, root_sol.objective, root_snap);
+        push_children(&mut heap, &root_node, j, v, root_bound, root_snap);
     } else {
-        let mut x = root_sol.x;
+        let mut x = root_sol.x.clone();
         snap_integers(&mut x, &problem.integers);
         let obj = problem.lp.objective_at(&x);
         telemetry::counter("solver.nodes", nodes_solved as u64);
@@ -567,7 +661,14 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
         let indexed: Vec<(usize, &Node)> = wave.iter().enumerate().collect();
         let solve_indexed = |&(i, node): &(usize, &Node)| {
             let _node_span = wave_ctx.map(|c| c.span_at("solver.node_lp", i as u32));
-            solve_node_lp(&problem.lp, node, &cfg.simplex, want_snaps)
+            solve_node_lp(
+                &problem.lp,
+                &node.lower,
+                &node.upper,
+                node.snap.as_deref(),
+                &cfg.simplex,
+                want_snaps,
+            )
         };
         let solved: Vec<_> = if cfg.parallel && wave.len() > 1 {
             indexed.par_iter().map(solve_indexed).collect()
@@ -591,16 +692,7 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
                 LpStatus::Unbounded => {
                     // Only possible with unbounded continuous directions that
                     // the root somehow missed; treat conservatively.
-                    return MilpResult {
-                        status: MilpStatus::Unbounded,
-                        objective: f64::NEG_INFINITY,
-                        x: Vec::new(),
-                        bound: f64::NEG_INFINITY,
-                        gap: 0.0,
-                        nodes: nodes_solved,
-                        degraded: false,
-                        incumbents: traj,
-                    };
+                    return unbounded_result(nodes_solved, traj);
                 }
                 LpStatus::Optimal => {}
             }
@@ -746,7 +838,8 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
     result
 }
 
-/// Solve one node's LP relaxation on this worker's thread-local engine.
+/// Solve one node's LP relaxation over the box `[lower, upper]` on this
+/// worker's thread-local engine.
 ///
 /// The `LpProblem` rows are shared by reference — nodes only differ in
 /// their bound vectors, so nothing is cloned per node. Warm path: restore
@@ -756,21 +849,23 @@ pub fn branch_and_bound(original: &MilpProblem, cfg: &BnbConfig) -> MilpResult {
 /// captured for this node's children.
 fn solve_node_lp(
     lp: &LpProblem,
-    node: &Node,
+    lower: &[f64],
+    upper: &[f64],
+    snap: Option<&EngineSnapshot>,
     opts: &SimplexOptions,
     want_snapshot: bool,
-) -> (crate::lp::LpSolution, Option<Arc<EngineSnapshot>>) {
+) -> (LpSolution, Option<Arc<EngineSnapshot>>) {
     with_engine(|eng| {
         let mut warm = false;
-        let sol = match node.snap.as_deref() {
-            Some(snap) => match eng.solve_warm(lp, snap, &node.lower, &node.upper, opts) {
+        let sol = match snap {
+            Some(snap) => match eng.solve_warm(lp, snap, lower, upper, opts) {
                 Some(sol) => {
                     warm = true;
                     sol
                 }
-                None => eng.solve_cold(lp, &node.lower, &node.upper, opts),
+                None => eng.solve_cold(lp, lower, upper, opts),
             },
-            None => eng.solve_cold(lp, &node.lower, &node.upper, opts),
+            None => eng.solve_cold(lp, lower, upper, opts),
         };
         if telemetry::enabled() {
             if warm {

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use crate::error::SolverError;
 use crate::expr::{LinExpr, VarId, VarKind};
 use crate::lp::{LpProblem, LpSolution, RowCmp};
-use crate::milp::{branch_and_bound, BnbConfig, MilpProblem, MilpStatus, SolveBudget};
+use crate::milp::{search, BnbConfig, MilpProblem, MilpStatus, RootRelaxation, SolveBudget};
 use crate::simplex::{solve_bounded, SimplexOptions};
 
 /// Configuration forwarded to branch and bound.
@@ -144,6 +144,13 @@ struct VarInfo {
     lower: f64,
     upper: f64,
     obj: f64,
+}
+
+impl VarInfo {
+    /// Bounds a lowering accepts: finite lower, upper not NaN, lower ≤ upper.
+    fn bounds_valid(&self) -> bool {
+        self.lower <= self.upper && self.lower.is_finite() && !self.upper.is_nan()
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -399,7 +406,7 @@ impl Model {
         let n = self.vars.len();
         let mut lp = LpProblem::with_columns(n);
         for (j, v) in self.vars.iter().enumerate() {
-            if v.lower > v.upper || !v.lower.is_finite() || v.upper.is_nan() {
+            if !v.bounds_valid() {
                 return Err(SolverError::InvalidBounds {
                     var: j,
                     lower: v.lower,
@@ -448,7 +455,41 @@ impl Model {
         cfg: &SolverConfig,
         warm_start: Option<Vec<f64>>,
     ) -> Result<Solution, SolverError> {
-        let milp = self.to_milp()?;
+        self.solve_from_root(None, cfg, warm_start)
+    }
+
+    /// Lower this model and prepare its root relaxation (presolve plus the
+    /// cold root LP) under `cfg`'s presolve switch and simplex options —
+    /// the one root LP a later [`solve_from_root`](Self::solve_from_root)
+    /// starts its search from.
+    pub fn prepare_root(&self, cfg: &SolverConfig) -> Result<RootRelaxation, SolverError> {
+        Ok(RootRelaxation::prepare(
+            self.to_milp()?,
+            cfg.presolve,
+            &cfg.simplex,
+        ))
+    }
+
+    /// [`solve_warm`](Self::solve_warm) starting the search at `root`, a
+    /// root [`prepare_root`](Self::prepare_root) produced from this model
+    /// as it is now. A root prepared under other presolve or simplex
+    /// options than `cfg`'s (or none) is not used: a fresh one is prepared
+    /// through the same function, so the result is bitwise the one a solve
+    /// from scratch returns.
+    pub fn solve_from_root(
+        &self,
+        root: Option<&RootRelaxation>,
+        cfg: &SolverConfig,
+        warm_start: Option<Vec<f64>>,
+    ) -> Result<Solution, SolverError> {
+        let fresh;
+        let root = match root.filter(|r| r.solved_under(cfg.presolve, &cfg.simplex)) {
+            Some(root) => root,
+            None => {
+                fresh = self.prepare_root(cfg)?;
+                &fresh
+            }
+        };
         let bnb = BnbConfig {
             node_limit: cfg.node_limit,
             rel_gap: cfg.rel_gap,
@@ -462,7 +503,7 @@ impl Model {
             budget: cfg.budget,
             ..BnbConfig::default()
         };
-        let res = branch_and_bound(&milp, &bnb);
+        let res = search(root, &bnb);
         match res.status {
             MilpStatus::Infeasible => Err(SolverError::Infeasible),
             MilpStatus::Unbounded => Err(SolverError::Unbounded),
@@ -486,8 +527,10 @@ impl Model {
         }
     }
 
-    /// Solve the continuous relaxation only (integrality dropped).
-    /// Used by the OAEI baseline's randomised rounding.
+    /// Solve the unpresolved continuous relaxation only (integrality
+    /// dropped). Used by the OAEI baseline's randomised rounding; solves
+    /// that branch read the presolved root from
+    /// [`prepare_root`](Self::prepare_root) instead.
     pub fn solve_relaxation(&self) -> Result<LpSolution, SolverError> {
         let milp = self.to_milp()?;
         Ok(solve_bounded(&milp.lp))
@@ -499,12 +542,34 @@ impl Model {
     }
 
     /// Maximum violation of this model's rows and bounds at `x`
-    /// (0 means feasible; integrality is not checked).
+    /// (0 means feasible; integrality is not checked). Evaluated on the
+    /// stored rows, which are kept compacted (sorted, unique, nonzero
+    /// terms), so the result is bitwise the one the lowered
+    /// [`LpProblem::max_violation`] returns — without lowering. Invalid
+    /// bounds or a row naming an unknown variable (what
+    /// [`to_milp`](Self::to_milp) rejects) give `f64::INFINITY`.
     pub fn max_violation(&self, x: &[f64]) -> f64 {
-        match self.to_milp() {
-            Ok(milp) => milp.lp.max_violation(x),
-            Err(_) => f64::INFINITY,
+        let n = self.vars.len();
+        // Terms are sorted, so the last one names the row's largest variable.
+        let unknown_var = self
+            .rows
+            .iter()
+            .any(|r| r.expr.terms.last().is_some_and(|&(v, _)| v.index() >= n));
+        if unknown_var || !self.vars.iter().all(VarInfo::bounds_valid) {
+            return f64::INFINITY;
         }
+        let mut worst: f64 = 0.0;
+        for row in &self.rows {
+            let lhs: f64 = row.expr.terms.iter().map(|&(v, c)| c * x[v.index()]).sum();
+            worst = worst.max(row.cmp.violation(lhs, row.rhs));
+        }
+        for (v, &xj) in self.vars.iter().zip(x) {
+            worst = worst.max(v.lower - xj);
+            if v.upper.is_finite() {
+                worst = worst.max(xj - v.upper);
+            }
+        }
+        worst
     }
 }
 
@@ -694,6 +759,48 @@ mod tests {
         m.set_row_coeff(r, a, 2.0);
         let milp = m.to_milp().unwrap();
         assert_eq!(milp.lp.rows[0].coeffs, vec![(0, 2.0), (1, 3.0), (2, 1.0)]);
+    }
+
+    #[test]
+    fn max_violation_matches_lowered_problem_bitwise() {
+        // SplitMix64, so the points are random but reproducible.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as f64 / u64::MAX as f64
+        };
+        let mut m = Model::new();
+        let x = m.add_binary("x", 1.0);
+        let b = m.add_var("b", VarKind::Integer, 0.0, 7.0, -0.3);
+        let y = m.add_nonneg("y", 0.7);
+        let z = m.add_var("z", VarKind::Continuous, -2.5, 4.0, 0.0);
+        m.linearized_product(x, b).unwrap();
+        m.add_le("cap", 0.1 * b + 0.3 * y - 1.7 * z + 0.2 * b, 3.3);
+        m.add_ge("floor", LinExpr::from(y) + z - 0.45 * x + 2.0, 1.1);
+        let r = m.add_eq("bal", 3.0 * y - z, 0.35);
+        m.set_row_coeff(r, b, 0.6);
+        m.set_row_coeff(r, y, 0.0);
+        let milp = m.to_milp().unwrap();
+        for _ in 0..500 {
+            let p: Vec<f64> = (0..m.num_vars()).map(|_| next() * 12.0 - 4.0).collect();
+            assert_eq!(
+                m.max_violation(&p).to_bits(),
+                milp.lp.max_violation(&p).to_bits(),
+                "at {p:?}"
+            );
+        }
+
+        // What lowering rejects reads as infinitely violated.
+        let origin = vec![0.0; m.num_vars()];
+        let mut bad_bounds = m.clone();
+        bad_bounds.set_bounds(z, 1.0, 0.0);
+        assert_eq!(bad_bounds.max_violation(&origin), f64::INFINITY);
+        let mut unknown = m.clone();
+        unknown.add_le("stray", LinExpr::term(VarId(99), 1.0), 1.0);
+        assert_eq!(unknown.max_violation(&origin), f64::INFINITY);
     }
 
     #[test]

@@ -1290,12 +1290,17 @@ pub fn with_engine<R>(f: impl FnOnce(&mut SimplexEngine) -> R) -> R {
 }
 
 /// Solve `lp` with the bounded-variable engine (thread-local instance).
+/// Counted in `solver.lp_cold` like every other cold LP the solver runs.
 ///
 /// # Panics
 /// Panics if a lower bound is non-finite; callers must pre-validate with
 /// [`LpProblem::validate_bounds`].
 pub fn solve(lp: &LpProblem) -> LpSolution {
-    with_engine(|eng| eng.solve_cold(lp, &lp.lower, &lp.upper, &SimplexOptions::default()))
+    let sol =
+        with_engine(|eng| eng.solve_cold(lp, &lp.lower, &lp.upper, &SimplexOptions::default()));
+    telemetry::counter("solver.lp_cold", 1);
+    telemetry::counter("solver.cold_pivots", sol.iterations as u64);
+    sol
 }
 
 #[cfg(test)]

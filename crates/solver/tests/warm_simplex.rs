@@ -10,11 +10,16 @@
 //!    re-solves enabled must return the same status and objective as the
 //!    cold configuration on random MILPs, and the same seeded run must be
 //!    bitwise reproducible (same incumbent vector), warm or not.
+//! 3. **Root handoff** — a root prepared once and searched later returns
+//!    bitwise the `MilpResult` of `branch_and_bound` from scratch, whatever
+//!    the thread's engine solved in between and whichever thread searches.
 
 use birp_conformance::strategies::arb_ip;
 use birp_solver::lp::{LpProblem, RowCmp};
-use birp_solver::milp::{branch_and_bound, BnbConfig, MilpProblem, MilpStatus};
-use birp_solver::simplex::solve_bounded;
+use birp_solver::milp::{
+    branch_and_bound, search, BnbConfig, MilpProblem, MilpResult, MilpStatus, RootRelaxation,
+};
+use birp_solver::simplex::{solve_bounded, with_engine, SimplexMode};
 use birp_solver::{LpStatus, SimplexEngine, SimplexOptions};
 use proptest::prelude::*;
 
@@ -196,6 +201,118 @@ fn check_bnb_determinism(p: MilpProblem) -> Result<(), String> {
     Ok(())
 }
 
+/// The conformance toggle matrix (each entry flips one fast path off the
+/// exact-solve baseline), plus the sparse core forced on, whose snapshots
+/// the large-scale slots hand over.
+fn handoff_configs() -> Vec<(&'static str, BnbConfig)> {
+    let base = BnbConfig {
+        node_limit: 50_000,
+        rel_gap: 1e-9,
+        ..Default::default()
+    };
+    vec![
+        ("default", base.clone()),
+        (
+            "cold-nodes",
+            BnbConfig {
+                warm_nodes: false,
+                ..base.clone()
+            },
+        ),
+        (
+            "no-presolve",
+            BnbConfig {
+                presolve: false,
+                ..base.clone()
+            },
+        ),
+        (
+            "parallel-no-dive",
+            BnbConfig {
+                parallel: true,
+                root_dive: false,
+                ..base.clone()
+            },
+        ),
+        (
+            "degenerate-pricing",
+            BnbConfig {
+                simplex: SimplexOptions {
+                    candidate_cap: 1,
+                    ..SimplexOptions::default()
+                },
+                ..base.clone()
+            },
+        ),
+        (
+            "sparse-core",
+            BnbConfig {
+                simplex: SimplexOptions {
+                    mode: SimplexMode::Sparse,
+                    ..SimplexOptions::default()
+                },
+                ..base
+            },
+        ),
+    ]
+}
+
+/// Every field of two results equal, floats by bit pattern.
+fn same_result(a: &MilpResult, b: &MilpResult) -> bool {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let traj = |r: &MilpResult| {
+        r.incumbents
+            .iter()
+            .map(|&(n, o, g)| (n, o.to_bits(), g.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    a.status == b.status
+        && a.objective.to_bits() == b.objective.to_bits()
+        && bits(&a.x) == bits(&b.x)
+        && a.bound.to_bits() == b.bound.to_bits()
+        && a.gap.to_bits() == b.gap.to_bits()
+        && a.nodes == b.nodes
+        && a.degraded == b.degraded
+        && traj(a) == traj(b)
+}
+
+fn check_root_handoff(p: MilpProblem, other: MilpProblem) -> Result<(), String> {
+    for (name, cfg) in handoff_configs() {
+        let scratch = branch_and_bound(&p, &cfg);
+        let prepare = || RootRelaxation::prepare(p.clone(), cfg.presolve, &cfg.simplex);
+
+        let root = prepare();
+        let direct = search(&root, &cfg);
+        prop_assert!(
+            same_result(&direct, &scratch),
+            "[{name}] direct: {direct:?} vs {scratch:?}"
+        );
+
+        // The thread's engine moves on to unrelated problems before the
+        // search starts.
+        let root = prepare();
+        with_engine(|eng| {
+            let lp = &other.lp;
+            eng.solve_cold(lp, &lp.lower, &lp.upper, &cfg.simplex);
+        });
+        let _ = branch_and_bound(&other, &cfg);
+        let later = search(&root, &cfg);
+        prop_assert!(
+            same_result(&later, &scratch),
+            "[{name}] after other solves: {later:?} vs {scratch:?}"
+        );
+
+        // The search runs on another thread than the prepare.
+        let root = prepare();
+        let moved = std::thread::scope(|s| s.spawn(|| search(&root, &cfg)).join().unwrap());
+        prop_assert!(
+            same_result(&moved, &scratch),
+            "[{name}] other thread: {moved:?} vs {scratch:?}"
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -229,5 +346,16 @@ proptest! {
     #[test]
     fn bnb_is_deterministic(p in arb_ip()) {
         check_bnb_determinism(p)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Prepare-root then search == branch and bound from scratch, bitwise,
+    /// under every toggle config, across engine reuse and threads.
+    #[test]
+    fn root_handoff_matches_branch_and_bound(p in arb_ip(), other in arb_ip()) {
+        check_root_handoff(p, other)?;
     }
 }
